@@ -92,6 +92,14 @@ impl Compressor for RowTopK {
         Compressed::new(Payload::Sparse { values, indices }, x.shape().clone())
     }
 
+    fn clear_caches(&mut self) {
+        self.cache_masks.clear();
+    }
+
+    fn cache_depth(&self) -> usize {
+        self.cache_masks.len()
+    }
+
     fn decompress(&self, msg: &Compressed) -> Tensor {
         match msg.payload() {
             Payload::Sparse { values, indices } => scatter_sparse(values, indices, msg.shape()),

@@ -103,6 +103,14 @@ impl Compressor for AutoEncoder {
         Compressed::new(Payload::Dense(code), x.shape().clone())
     }
 
+    fn clear_caches(&mut self) {
+        self.caches.clear();
+    }
+
+    fn cache_depth(&self) -> usize {
+        self.caches.len()
+    }
+
     fn decompress(&self, msg: &Compressed) -> Tensor {
         match msg.payload() {
             Payload::Dense(code) => code.matmul(&self.decoder.value),

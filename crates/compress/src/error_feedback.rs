@@ -83,6 +83,14 @@ impl<C: Compressor> Compressor for ErrorFeedback<C> {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         self.inner.visit_params(f);
     }
+
+    fn clear_caches(&mut self) {
+        self.inner.clear_caches();
+    }
+
+    fn cache_depth(&self) -> usize {
+        self.inner.cache_depth()
+    }
 }
 
 #[cfg(test)]

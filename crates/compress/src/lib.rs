@@ -128,6 +128,17 @@ pub trait Compressor: Send {
     /// and decoder matrices). Default: none.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Parameter)) {}
 
+    /// Drops every state cached by [`Compressor::compress`] for a
+    /// backward that will never come — the forward-only serving path's
+    /// per-batch cleanup. Default: nothing is cached.
+    fn clear_caches(&mut self) {}
+
+    /// How many `compress` calls are still waiting for their
+    /// [`Compressor::backward`]. Default: `0` (nothing is cached).
+    fn cache_depth(&self) -> usize {
+        0
+    }
+
     /// Convenience: compress-then-decompress (what the downstream layer
     /// actually receives).
     fn round_trip(&mut self, x: &Tensor) -> Tensor {
@@ -163,5 +174,13 @@ impl Compressor for Box<dyn Compressor> {
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         (**self).visit_params(f)
+    }
+
+    fn clear_caches(&mut self) {
+        (**self).clear_caches()
+    }
+
+    fn cache_depth(&self) -> usize {
+        (**self).cache_depth()
     }
 }

@@ -320,6 +320,40 @@ mod tests {
     }
 
     #[test]
+    fn clear_caches_drops_every_pending_backward() {
+        // A forward-only caller never runs backward; clearing must leave
+        // no cached state behind for any codec, with or without error
+        // feedback, and must not disturb a later compress/backward pair.
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let x = actcomp_tensor::Tensor::ones([4, 16]);
+        for spec in CompressorSpec::all() {
+            for ef in [false, true] {
+                let mut c = spec.build(&mut rng, 64, 16);
+                if ef {
+                    c = Box::new(crate::ErrorFeedback::new(c));
+                }
+                for _ in 0..3 {
+                    let _ = c.compress(&x);
+                }
+                let cached = matches!(
+                    spec.family(),
+                    Family::AutoEncoder | Family::TopK | Family::RandomK
+                );
+                assert_eq!(
+                    c.cache_depth(),
+                    if cached { 3 } else { 0 },
+                    "{spec} ef={ef}"
+                );
+                c.clear_caches();
+                assert_eq!(c.cache_depth(), 0, "{spec} ef={ef}");
+                let _ = c.compress(&x);
+                let _ = c.backward(&x);
+                assert_eq!(c.cache_depth(), 0, "{spec} ef={ef}");
+            }
+        }
+    }
+
+    #[test]
     fn all_contains_unique_labels() {
         let labels: std::collections::HashSet<_> =
             CompressorSpec::all().iter().map(|s| s.label()).collect();

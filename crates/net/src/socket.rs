@@ -18,7 +18,7 @@ use crate::frame::{
 use crate::throttle::TokenBucket;
 use crate::{FrameRx, FrameTx, Transport, TransportKind};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -110,6 +110,14 @@ impl Write for Stream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
@@ -189,7 +197,7 @@ pub struct SocketTransport {
     addr: String,
     peers: Vec<Option<String>>,
     demux: Demux,
-    conns: HashMap<usize, Arc<Mutex<BufWriter<Stream>>>>,
+    conns: HashMap<usize, Arc<Mutex<Stream>>>,
     bucket: Option<Arc<Mutex<TokenBucket>>>,
     accept_handle: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -301,7 +309,7 @@ impl SocketTransport {
 
     /// Opens (or reuses) the data connection to `to`, performing the
     /// handshake on first use.
-    fn ensure_conn(&mut self, to: usize) -> Result<Arc<Mutex<BufWriter<Stream>>>, TransportError> {
+    fn ensure_conn(&mut self, to: usize) -> Result<Arc<Mutex<Stream>>, TransportError> {
         if let Some(c) = self.conns.get(&to) {
             return Ok(Arc::clone(c));
         }
@@ -321,7 +329,6 @@ impl SocketTransport {
             epoch: self.opts.epoch,
         };
         write_frame(&mut stream, HS_CHAN, &hs.encode())
-            .and_then(|()| stream.flush())
             .map_err(|e| TransportError::io(format!("handshaking with rank {to}"), &e))?;
         stream
             .set_read_timeout(Some(self.opts.handshake_timeout))
@@ -349,7 +356,7 @@ impl SocketTransport {
         stream
             .set_read_timeout(None)
             .map_err(|e| TransportError::io("clearing the handshake timeout", &e))?;
-        let conn = Arc::new(Mutex::new(BufWriter::new(stream)));
+        let conn = Arc::new(Mutex::new(stream));
         self.conns.insert(to, Arc::clone(&conn));
         Ok(conn)
     }
@@ -566,9 +573,11 @@ fn spawn_acceptor(
 }
 
 /// Handshakes one inbound connection and pumps its frames into the
-/// demux until EOF or a corrupt frame.
+/// demux until EOF or a corrupt frame. Reads go through a 64 KiB
+/// buffer, so a small frame costs one `read` rather than one each for
+/// header, payload and trailer.
 fn serve_conn(
-    mut stream: Stream,
+    stream: Stream,
     demux: Demux,
     world: usize,
     config_hash: u64,
@@ -578,6 +587,7 @@ fn serve_conn(
     if stream.set_read_timeout(Some(handshake_timeout)).is_err() {
         return;
     }
+    let mut stream = BufReader::with_capacity(64 << 10, stream);
     let from = match accept_handshake(&mut stream, world, config_hash, epoch) {
         Ok(from) => from,
         Err(reason) => {
@@ -585,14 +595,12 @@ fn serve_conn(
             // HandshakeRejected.
             let mut ack = vec![1u8];
             ack.extend_from_slice(reason.to_string().as_bytes());
-            let _ = write_frame(&mut stream, HS_CHAN, &ack).and_then(|()| stream.flush());
+            let _ = write_frame(stream.get_mut(), HS_CHAN, &ack);
             return;
         }
     };
-    if write_frame(&mut stream, HS_CHAN, &[0u8])
-        .and_then(|()| stream.flush())
-        .is_err()
-        || stream.set_read_timeout(None).is_err()
+    if write_frame(stream.get_mut(), HS_CHAN, &[0u8]).is_err()
+        || stream.get_ref().set_read_timeout(None).is_err()
     {
         return;
     }
@@ -619,7 +627,7 @@ fn serve_conn(
                 // Remember why, so receivers report FrameCorrupt
                 // instead of a bare PeerClosed.
                 lock(&demux).corrupt.insert(from, what);
-                let _ = stream.shutdown_both();
+                let _ = stream.get_ref().shutdown_both();
                 break;
             }
             Err(FrameError::Io(_)) => break,
@@ -634,7 +642,7 @@ fn serve_conn(
 
 /// Reads and validates the handshake frame, returning the peer rank.
 fn accept_handshake(
-    stream: &mut Stream,
+    stream: &mut impl Read,
     world: usize,
     config_hash: u64,
     epoch: u32,
@@ -683,7 +691,7 @@ fn accept_handshake(
 
 /// The sending end of one channel over a shared socket connection.
 struct SocketTx {
-    conn: Arc<Mutex<BufWriter<Stream>>>,
+    conn: Arc<Mutex<Stream>>,
     chan: u16,
     to: usize,
     bucket: Option<Arc<Mutex<TokenBucket>>>,
@@ -702,17 +710,15 @@ impl SocketTx {
             }
         }
         let mut w = lock(&self.conn);
-        write_frame_with(&mut *w, self.chan, payload, crc_flip)
-            .and_then(|()| w.flush())
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::BrokenPipe
-                | std::io::ErrorKind::ConnectionReset
-                | std::io::ErrorKind::UnexpectedEof => TransportError::PeerClosed {
-                    rank: Some(self.to),
-                    what: "sending a frame".to_string(),
-                },
-                _ => TransportError::io(format!("sending a frame to rank {}", self.to), &e),
-            })
+        write_frame_with(&mut *w, self.chan, payload, crc_flip).map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::UnexpectedEof => TransportError::PeerClosed {
+                rank: Some(self.to),
+                what: "sending a frame".to_string(),
+            },
+            _ => TransportError::io(format!("sending a frame to rank {}", self.to), &e),
+        })
     }
 }
 
@@ -726,8 +732,7 @@ impl FrameTx for SocketTx {
     }
 
     fn sever(&mut self) -> Result<(), TransportError> {
-        let w = lock(&self.conn);
-        w.get_ref()
+        lock(&self.conn)
             .shutdown_both()
             .map_err(|e| TransportError::io(format!("severing the link to rank {}", self.to), &e))
     }

@@ -56,7 +56,7 @@
 use crate::link::{typed_pair, MsgRx, MsgTx, CHAN_RING};
 use crate::report::{timed, PhaseTimers};
 use crate::trace::TraceHandle;
-use crate::wire::{put_f32_slice, put_u8, put_usize, Reader, WireError, WireMsg};
+use crate::wire::{le32_run_len, put_f32_slice, put_u8, put_usize, Reader, WireError, WireMsg};
 use actcomp_check::{ChannelId, Dir, MsgId};
 use actcomp_compress::{Compressed, Compressor};
 use actcomp_mp::CommBytes;
@@ -297,6 +297,28 @@ impl WireMsg for RingMsg {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        match self {
+            RingMsg::Gather(_, payload) => {
+                let body = match payload {
+                    GatherPayload::Code(c) => c.encoded_len(),
+                    GatherPayload::Dense(t) => t.encoded_len(),
+                    GatherPayload::Grads(v) => v.encoded_len(),
+                };
+                // tag, origin, payload tag
+                1 + 8 + 1 + body
+            }
+            RingMsg::Chunk(m) => {
+                let body = match &m.data {
+                    ChunkData::Dense(rows) => le32_run_len(rows.len()),
+                    ChunkData::Code(c) => c.encoded_len(),
+                };
+                // tag, bcast flag, index, data tag
+                1 + 1 + 8 + 1 + body
+            }
+        }
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.read_u8("ring message tag")? {
             0 => {
@@ -317,14 +339,7 @@ impl WireMsg for RingMsg {
                 let bcast = r.read_u8("chunk bcast flag")? != 0;
                 let idx = r.read_usize("chunk index")?;
                 let data = match r.read_u8("chunk data tag")? {
-                    0 => {
-                        let n = r.read_usize("dense chunk length")?;
-                        let mut rows = Vec::with_capacity(n.min(1 << 24));
-                        for _ in 0..n {
-                            rows.push(r.read_f32("dense chunk row")?);
-                        }
-                        ChunkData::Dense(rows)
-                    }
+                    0 => ChunkData::Dense(r.read_f32_vec("dense chunk rows")?),
                     1 => ChunkData::Code(Compressed::decode(r)?),
                     _ => {
                         return Err(WireError {
@@ -1240,5 +1255,36 @@ mod tests {
                 assert!(plan.iter().all(|&c| c > 0));
             }
         }
+    }
+
+    #[test]
+    fn ring_chunk_wire_bytes_are_pinned() {
+        // Layout: [tag 1][bcast u8][idx u64][data tag 0][count u64][f32 LE ...].
+        let msg = RingMsg::Chunk(ChunkMsg {
+            bcast: true,
+            idx: 3,
+            data: ChunkData::Dense(vec![1.5, -2.0]),
+        });
+        #[rustfmt::skip]
+        let golden: [u8; 27] = [
+            1, 1,
+            3, 0, 0, 0, 0, 0, 0, 0,
+            0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            0x00, 0x00, 0xC0, 0x3F,
+            0x00, 0x00, 0x00, 0xC0,
+        ];
+        assert_eq!(crate::wire::encode_msg(&msg), golden);
+        assert_eq!(msg.encoded_len(), golden.len());
+        match crate::wire::decode_msg::<RingMsg>(&golden).expect("decode") {
+            RingMsg::Chunk(ChunkMsg {
+                bcast: true,
+                idx: 3,
+                data: ChunkData::Dense(rows),
+            }) => assert_eq!(rows, [1.5, -2.0]),
+            other => panic!("decoded {other:?}"),
+        }
+        let gather = RingMsg::Gather(1, GatherPayload::Grads(vec![Tensor::ones([2, 2])]));
+        assert_eq!(crate::wire::encode_msg(&gather).len(), gather.encoded_len());
     }
 }

@@ -463,7 +463,7 @@ impl RankLayer {
     /// the forward-only serving path's per-batch cleanup. All cache
     /// tensors are recycled into the workspace arena, so serving a
     /// stream of requests reuses the same buffers instead of growing
-    /// the cache stack forever.
+    /// the cache stack forever; the reduce compressors drop theirs too.
     pub fn clear_caches(&mut self, ws: &mut Workspace) {
         for c in self.caches.drain(..) {
             let LayerCache {
@@ -492,6 +492,14 @@ impl RankLayer {
                 ws.recycle_tensor(inv_std);
             }
         }
+        self.attn_comp.clear_caches();
+        self.ff_comp.clear_caches();
+    }
+
+    /// Forward caches the two reduce compressors still hold.
+    #[cfg(test)]
+    pub(crate) fn compressor_cache_depth(&self) -> usize {
+        self.attn_comp.cache_depth() + self.ff_comp.cache_depth()
     }
 
     /// Ring-syncs this layer's compressor-parameter gradients (the

@@ -141,6 +141,16 @@ impl WireMsg for Command {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        match self {
+            // tag, id count, ids, batch, seq (and micro for Infer)
+            Command::Forward { ids, .. } => 1 + 8 + 8 * ids.len() + 16,
+            Command::Infer { ids, .. } => 1 + 8 + 8 * ids.len() + 24,
+            Command::Backward { dhidden } => 1 + dhidden.encoded_len(),
+            _ => 0,
+        }
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.read_u8("command tag")? {
             0 => {
@@ -259,6 +269,13 @@ impl WireMsg for Response {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        match self {
+            Response::Output { y } => 1 + y.encoded_len(),
+            _ => 0,
+        }
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.read_u8("response tag")? {
             0 => Response::Done,
@@ -311,6 +328,13 @@ impl WireMsg for FwdMsg {
                 put_u8(out, 1);
                 v.encode(out);
             }
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            FwdMsg::Activation(c) => c.encoded_len(),
+            FwdMsg::GradSync(v) => v.encoded_len(),
         }
     }
 
@@ -681,6 +705,9 @@ impl RankWorker {
         }
         if let Some(emb) = self.embedding.as_mut() {
             emb.clear_caches(&mut self.ws);
+        }
+        if let Some(b) = self.send_b.as_mut() {
+            b.comp.clear_caches();
         }
         self.respond_forward_output();
     }
@@ -1189,5 +1216,120 @@ impl RankWorker {
                 boundary_comp,
             },
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::link::typed_world_links;
+    use crate::runtime::{Seeds, WorkerBuilder};
+    use crate::RuntimeConfig;
+    use actcomp_compress::plan::CompressionPlan;
+    use actcomp_compress::spec::CompressorSpec;
+    use actcomp_mp::MpConfig;
+    use actcomp_nn::{BertConfig, BertEncoder};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use std::sync::mpsc::channel;
+
+    #[test]
+    fn encoded_len_matches_the_encoding() {
+        use super::{Command, FwdMsg, Response};
+        use crate::wire::{encode_msg, WireMsg};
+        use actcomp_compress::{Compressed, Payload};
+        use actcomp_tensor::{Shape, Tensor};
+        let t = Tensor::ones([3, 4]);
+        let ids = vec![1usize, 2, 3];
+        let code = Compressed::new(Payload::Dense(t.clone()), Shape::new(vec![3, 8]));
+        fn check<T: WireMsg>(m: &T) {
+            assert_eq!(encode_msg(m).len(), m.encoded_len());
+        }
+        check(&FwdMsg::Activation(code));
+        check(&FwdMsg::GradSync(vec![t.clone()]));
+        check(&Command::Forward {
+            ids: ids.clone(),
+            batch: 1,
+            seq: 3,
+        });
+        check(&Command::Infer {
+            ids,
+            batch: 1,
+            seq: 3,
+            micro: 1,
+        });
+        check(&Command::Backward { dhidden: t.clone() });
+        check(&Response::Output { y: t });
+    }
+
+    #[test]
+    fn forward_only_infer_leaves_no_compressor_caches() {
+        // tp=2 × pp=2 with A2 on every layer: each rank compresses at
+        // every TP reduce, and stage 0 also at the pipeline boundary.
+        // Serving never runs backward, so none of those caches may
+        // outlive the batch that filled them.
+        const SEQ: usize = 8;
+        let bert = BertConfig {
+            vocab: 32,
+            hidden: 16,
+            layers: 4,
+            heads: 4,
+            ff_hidden: 32,
+            max_seq: SEQ,
+        };
+        let cfg = RuntimeConfig {
+            mp: MpConfig {
+                bert: bert.clone(),
+                tp: 2,
+                pp: 2,
+                plan: CompressionPlan::last_layers(CompressorSpec::A2, 4, 4),
+                tokens: SEQ,
+                error_feedback: false,
+            },
+            micro_batches: 1,
+            tuning: None,
+            trace: false,
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let serial = BertEncoder::new(&mut rng, bert);
+        let builder = WorkerBuilder::new(&serial, &cfg, Seeds::draw(&cfg, &mut rng));
+        let ids: Vec<usize> = (0..2 * SEQ).map(|i| i % 32).collect();
+        // The workers are driven directly, not through their command
+        // loop; their responses only need somewhere to go.
+        let mut responses = Vec::new();
+        let handles: Vec<_> = typed_world_links(2, 2)
+            .into_iter()
+            .enumerate()
+            .map(|(rank, links)| {
+                let (_, cmd_rx) = channel();
+                let (resp_tx, resp_rx) = channel();
+                responses.push(resp_rx);
+                let mut w = builder.build(rank, links, cmd_rx, resp_tx);
+                let ids = ids.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..5 {
+                        w.infer(&ids, 2, SEQ, 2);
+                    }
+                    w
+                })
+            })
+            .collect();
+        for h in handles {
+            let w = h.join().expect("rank thread");
+            let layers: usize = w.layers.iter().map(|l| l.compressor_cache_depth()).sum();
+            assert_eq!(
+                layers, 0,
+                "rank {}: reduce compressor caches leaked",
+                w.rank
+            );
+            if let Some(b) = &w.send_b {
+                assert_eq!(b.comp.name(), "ae");
+                assert_eq!(
+                    b.comp.cache_depth(),
+                    0,
+                    "rank {}: boundary cache leaked",
+                    w.rank
+                );
+            }
+        }
     }
 }

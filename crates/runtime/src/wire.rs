@@ -187,11 +187,14 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.at + n > self.buf.len() {
-            return fail(what);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
+        // `checked_add`: a hostile length field near `usize::MAX` must
+        // fail here, not wrap past the bounds check.
+        let end = match self.at.checked_add(n) {
+            Some(end) if end <= self.buf.len() => end,
+            _ => return fail(what),
+        };
+        let s = &self.buf[self.at..end];
+        self.at = end;
         Ok(s)
     }
 
@@ -220,22 +223,27 @@ impl<'a> Reader<'a> {
         Ok(self.take(n, what)?.to_vec())
     }
 
-    fn f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
+    /// A length-prefixed run of 4-byte little-endian words, converted
+    /// by `from_le` in one pass over the whole slice.
+    fn le32_vec<T>(
+        &mut self,
+        what: &'static str,
+        from_le: impl Fn([u8; 4]) -> T,
+    ) -> Result<Vec<T>, WireError> {
         let n = self.usize(what)?;
         let raw = self.take(n.checked_mul(4).ok_or(WireError { what })?, what)?;
         Ok(raw
             .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .map(|c| from_le([c[0], c[1], c[2], c[3]]))
             .collect())
     }
 
+    fn f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
+        self.le32_vec(what, f32::from_le_bytes)
+    }
+
     fn u32_vec(&mut self, what: &'static str) -> Result<Vec<u32>, WireError> {
-        let n = self.usize(what)?;
-        let raw = self.take(n.checked_mul(4).ok_or(WireError { what })?, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        self.le32_vec(what, u32::from_le_bytes)
     }
 
     fn string(&mut self, what: &'static str) -> Result<String, WireError> {
@@ -269,20 +277,30 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     out.extend_from_slice(v);
 }
 
-pub(crate) fn put_f32_slice(out: &mut Vec<u8>, v: &[f32]) {
+/// Appends a length-prefixed run of 4-byte little-endian words: the
+/// output is sized once, then filled in one pass over the slice (on a
+/// little-endian host this compiles to a plain copy).
+fn put_le32<T: Copy>(out: &mut Vec<u8>, v: &[T], to_le: impl Fn(T) -> [u8; 4]) {
     put_usize(out, v.len());
-    out.reserve(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
+    let at = out.len();
+    out.resize(at + 4 * v.len(), 0);
+    for (dst, &x) in out[at..].chunks_exact_mut(4).zip(v) {
+        dst.copy_from_slice(&to_le(x));
     }
 }
 
+pub(crate) fn put_f32_slice(out: &mut Vec<u8>, v: &[f32]) {
+    put_le32(out, v, f32::to_le_bytes);
+}
+
 pub(crate) fn put_u32_slice(out: &mut Vec<u8>, v: &[u32]) {
-    put_usize(out, v.len());
-    out.reserve(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    put_le32(out, v, u32::to_le_bytes);
+}
+
+/// Wire bytes of a [`put_f32_slice`]/[`put_u32_slice`] run of `n`
+/// words: the `u64` count plus the words.
+pub(crate) fn le32_run_len(n: usize) -> usize {
+    8 + 4 * n
 }
 
 pub(crate) fn put_string(out: &mut Vec<u8>, v: &str) {
@@ -318,11 +336,18 @@ pub trait WireMsg: Sized + Send {
     fn encode(&self, out: &mut Vec<u8>);
     /// Parses one value from the reader.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+    /// The exact number of bytes [`WireMsg::encode`] appends, or `0`
+    /// when the type does not say (small control messages). Lets
+    /// [`encode_msg`] size a bulk payload buffer once.
+    fn encoded_len(&self) -> usize {
+        0
+    }
 }
 
-/// Encodes a full message into a fresh payload buffer.
+/// Encodes a full message into a fresh payload buffer, allocated at
+/// its final size when the message reports one.
 pub fn encode_msg<T: WireMsg>(msg: &T) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(msg.encoded_len());
     msg.encode(&mut out);
     out
 }
@@ -345,6 +370,10 @@ impl WireMsg for Tensor {
             put_usize(out, d);
         }
         put_f32_slice(out, self.as_slice());
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 + 8 * self.dims().len() + le32_run_len(self.len())
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -374,6 +403,10 @@ impl WireMsg for Vec<Tensor> {
         for t in self {
             t.encode(out);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(Tensor::encoded_len).sum::<usize>()
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -413,12 +446,26 @@ impl WireMsg for Compressed {
                 zero,
             } => {
                 put_u8(out, 2);
-                put_bytes(out, &codes.to_vec());
+                put_bytes(out, codes);
                 put_u8(out, *bits);
                 put_f32(out, *scale);
                 put_f32(out, *zero);
             }
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        let payload = match self.payload() {
+            Payload::Dense(t) if wire_dtype() == WireDtype::F16 => {
+                8 + 8 * t.dims().len() + 8 + 2 * t.len()
+            }
+            Payload::Dense(t) => t.encoded_len(),
+            Payload::Sparse { values, indices } => {
+                le32_run_len(values.len()) + le32_run_len(indices.len())
+            }
+            Payload::Quantized { codes, .. } => 8 + codes.len() + 1 + 4 + 4,
+        };
+        8 + 8 * self.shape().dims().len() + 1 + payload
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -574,6 +621,12 @@ impl Reader<'_> {
     /// Reads a little-endian `f32`.
     pub fn read_f32(&mut self, what: &'static str) -> Result<f32, WireError> {
         self.f32(what)
+    }
+
+    /// Reads a length-prefixed run of little-endian `f32`s (the
+    /// [`put_f32_slice`] layout).
+    pub fn read_f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
+        self.f32_vec(what)
     }
 }
 
@@ -757,6 +810,158 @@ mod tests {
         assert_eq!(WireDtype::parse("f16"), Some(WireDtype::F16));
         assert_eq!(WireDtype::parse("bf16"), None);
         assert_eq!(WireDtype::F16.name(), "f16");
+    }
+
+    /// Bit patterns covering every f32 class: a stride through all
+    /// 2^32 patterns plus zeros, subnormals, infinities and NaNs with
+    /// payloads (quiet and signalling, both signs).
+    fn f32_bit_patterns() -> Vec<f32> {
+        let specials = [
+            0x0000_0000u32,
+            0x8000_0000,
+            0x0000_0001,
+            0x8000_0001,
+            0x007F_FFFF,
+            0x807F_FFFF,
+            0x0080_0000,
+            0x7F7F_FFFF,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x7F80_0001,
+            0x7FC0_0000,
+            0x7FC1_2345,
+            0xFFFF_FFFF,
+            0x7FBF_FFFF,
+        ];
+        specials
+            .into_iter()
+            .chain((0..=u32::MAX).step_by(4099))
+            .map(f32::from_bits)
+            .collect()
+    }
+
+    #[test]
+    fn f32_runs_roundtrip_every_bit_pattern() {
+        let vals = f32_bit_patterns();
+        let mut out = Vec::new();
+        put_f32_slice(&mut out, &vals);
+        // The bulk writer emits exactly the per-element encoding.
+        let mut want = (vals.len() as u64).to_le_bytes().to_vec();
+        for v in &vals {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(out, want);
+        assert_eq!(out.len(), le32_run_len(vals.len()));
+        let back = Reader::new(&out).f32_vec("test").expect("decode");
+        assert_eq!(back.len(), vals.len());
+        for (a, b) in back.iter().zip(&vals) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // Through a whole tensor frame as well.
+        let t = Tensor::from_vec(vals.clone(), vec![vals.len()]);
+        let frame = encode_msg(&t);
+        assert_eq!(frame.len(), t.encoded_len());
+        let back: Tensor = decode_msg(&frame).expect("decode");
+        assert!(back
+            .as_slice()
+            .iter()
+            .zip(&vals)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    #[test]
+    fn u32_runs_match_the_per_element_encoding() {
+        let vals: Vec<u32> = (0..=u32::MAX).step_by(65_537).chain([u32::MAX]).collect();
+        let mut out = Vec::new();
+        put_u32_slice(&mut out, &vals);
+        let mut want = (vals.len() as u64).to_le_bytes().to_vec();
+        for v in &vals {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(out, want);
+        assert_eq!(Reader::new(&out).u32_vec("test").expect("decode"), vals);
+    }
+
+    #[test]
+    fn tensor_wire_bytes_are_pinned() {
+        // The procs backend and the in-process links must keep agreeing
+        // bit for bit, and protocol version 2 peers must keep decoding:
+        // the tensor layout is [rank][dims][count][f32 LE ...], u64 LE
+        // integers throughout.
+        let t = Tensor::from_vec(vec![1.0f32, -0.0, f32::from_bits(1)], vec![3]);
+        #[rustfmt::skip]
+        let golden: [u8; 36] = [
+            1, 0, 0, 0, 0, 0, 0, 0,        // rank
+            3, 0, 0, 0, 0, 0, 0, 0,        // dim 0
+            3, 0, 0, 0, 0, 0, 0, 0,        // element count
+            0x00, 0x00, 0x80, 0x3F,        // 1.0
+            0x00, 0x00, 0x00, 0x80,        // -0.0
+            0x01, 0x00, 0x00, 0x00,        // smallest subnormal
+        ];
+        assert_eq!(encode_msg(&t), golden);
+        assert_eq!(t.encoded_len(), golden.len());
+        let back: Tensor = decode_msg(&golden).expect("decode");
+        assert_eq!(back.as_slice()[1].to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn encoded_len_is_exact_for_every_payload() {
+        let msgs = [
+            Compressed::new(
+                Payload::Dense(Tensor::from_vec(vec![0.5f32; 6], vec![2, 3])),
+                Shape::new(vec![2, 3]),
+            ),
+            Compressed::new(
+                Payload::Sparse {
+                    values: vec![1.0, 2.0, 3.0],
+                    indices: vec![0, 4, 5],
+                },
+                Shape::new(vec![2, 3]),
+            ),
+            Compressed::new(
+                Payload::Quantized {
+                    codes: Bytes::copy_from_slice(&[1, 2, 3]),
+                    bits: 2,
+                    scale: 0.5,
+                    zero: 0.0,
+                },
+                Shape::new(vec![12]),
+            ),
+        ];
+        for m in &msgs {
+            let mut out = Vec::new();
+            m.encode(&mut out);
+            assert_eq!(out.len(), m.encoded_len());
+        }
+        let list = vec![Tensor::ones([2, 2]), Tensor::ones([3])];
+        assert_eq!(encode_msg(&list).len(), list.encoded_len());
+    }
+
+    #[test]
+    fn hostile_length_fields_are_typed_errors() {
+        // A length so large that `offset + length` overflows `usize`
+        // must be rejected, not wrap past the bounds check.
+        let mut tensor = Vec::new();
+        put_usize(&mut tensor, 1); // rank
+        put_usize(&mut tensor, 4); // dim
+        put_u64(&mut tensor, u64::MAX / 4); // element count
+        assert_eq!(
+            decode_msg::<Tensor>(&tensor),
+            Err(WireError {
+                what: "tensor data"
+            })
+        );
+
+        let mut quant = Vec::new();
+        put_usize(&mut quant, 1); // shape rank
+        put_usize(&mut quant, 4); // shape dim
+        put_u8(&mut quant, 2); // quantized payload
+        put_u64(&mut quant, u64::MAX); // code byte count
+        assert!(decode_msg::<Compressed>(&quant).is_err());
+
+        let mut string = Vec::new();
+        put_u64(&mut string, u64::MAX - 3);
+        assert!(Reader::new(&string).read_string("string").is_err());
     }
 
     #[test]
