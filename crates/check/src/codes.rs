@@ -73,9 +73,6 @@ pub const ENV_THREADS_INVALID: &str = "AC0402";
 pub const CHUNK_ROWS_INVALID: &str = "AC0501";
 /// `runtime.pipeline_depth` is not a positive chunk count.
 pub const PIPELINE_DEPTH_INVALID: &str = "AC0502";
-/// The `ACTCOMP_CHUNK_ROWS` environment variable does not parse as a
-/// positive row count.
-pub const ENV_CHUNK_ROWS_INVALID: &str = "AC0503";
 
 /// A message is sent but no rank ever receives it.
 pub const COMM_ORPHAN_SEND: &str = "AC0601";
@@ -287,11 +284,6 @@ pub fn registry() -> Vec<CodeInfo> {
         row(
             PIPELINE_DEPTH_INVALID,
             "runtime.pipeline_depth is not a positive chunk count",
-            false,
-        ),
-        row(
-            ENV_CHUNK_ROWS_INVALID,
-            "ACTCOMP_CHUNK_ROWS does not parse as a positive row count",
             false,
         ),
         row(

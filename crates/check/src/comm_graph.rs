@@ -9,11 +9,13 @@
 //! fully determined by the configuration — so the protocol can be
 //! analyzed *before* a single thread spawns.
 //!
-//! [`build_comm_graph`] mirrors the engine's schedule generators
-//! (`summable_ring`, `gathered_reduce`, `dense_ring`, `all_gather`,
-//! the stage broadcast, and the pipeline boundary sends) and emits the
-//! complete static message-flow graph: per rank, the ordered sequence
-//! of [`CommEvent`]s for one training step. [`analyze`] then proves,
+//! [`build_comm_graph`] walks the ring schedules the engine walks — the
+//! chain-reduce/broadcast steps and gather hops defined once in
+//! [`crate::collectives`] — plus the layer-level program (the order of
+//! collectives per layer, the stage broadcast, and the pipeline
+//! boundary sends), and emits the complete static message-flow graph:
+//! per rank, the ordered sequence of [`CommEvent`]s for one training
+//! step. [`analyze`] then proves,
 //! or refutes with an `AC06xx` diagnostic:
 //!
 //! * **send/recv matching** — every send has exactly one receive and
@@ -54,7 +56,7 @@ use actcomp_mp::stage_offsets;
 use actcomp_tensor::Tensor;
 
 use crate::codes;
-use crate::collectives::{resolved_ring_tuning, ring_chunk_plan};
+use crate::collectives::{chain_steps, gather_hops, resolved_ring_tuning, ring_chunk_plan};
 use crate::config::ExperimentConfig;
 use crate::diagnostics::Diagnostic;
 use crate::runtime::uses_threads_backend;
@@ -386,8 +388,8 @@ struct LayerComm {
     msg_bytes: usize,
 }
 
-/// Per-rank event generator: a faithful mirror of the engine's
-/// schedule generators, emitting events instead of messages.
+/// Per-rank event generator: expands the shared ring schedules and the
+/// engine's layer-level program into events instead of messages.
 struct Gen {
     tp: usize,
     stage: usize,
@@ -431,103 +433,49 @@ impl Gen {
         }
     }
 
-    fn send_chunk(&mut self, coll: usize, bcast: bool, idx: usize, bytes: usize) {
-        self.push(
-            Dir::Send,
-            self.ring_send(),
-            MsgId::Chunk { coll, bcast, idx },
-            Some(bytes),
-        );
-    }
-
-    fn recv_chunk(&mut self, coll: usize, bcast: bool, idx: usize) {
-        self.push(
-            Dir::Recv,
-            self.ring_recv(),
-            MsgId::Chunk { coll, bcast, idx },
-            None,
-        );
-    }
-
-    /// The chain-reduce → ring-broadcast schedule (`summable_ring` /
-    /// `dense_ring`), including the rank-0 `pipeline_depth` pacing.
-    fn chunk_ring(&mut self, chunk_bytes: &[usize]) {
-        let p = self.tp;
-        debug_assert!(p > 1, "chunk_ring on a solo ring");
+    /// One chain-reduce → ring-broadcast collective: this rank's
+    /// [`chain_steps`] expanded into chunk events, plus the closed-form
+    /// wire bytes of its sends.
+    fn chain_collective(&mut self, chunk_bytes: &[usize]) {
         let coll = self.coll;
         self.coll += 1;
-        let total = chunk_bytes.len();
-        let r = self.tpi;
-        if r == 0 {
-            let mut sent = 0;
-            while sent < self.depth.min(total) {
-                self.send_chunk(coll, false, sent, chunk_bytes[sent]);
-                sent += 1;
+        for step in chain_steps(self.tpi, self.tp, chunk_bytes.len(), self.depth) {
+            let idx = step.idx();
+            if let Some(bcast) = step.recv_leg() {
+                self.push(
+                    Dir::Recv,
+                    self.ring_recv(),
+                    MsgId::Chunk { coll, bcast, idx },
+                    None,
+                );
             }
-            for idx in 0..total {
-                self.recv_chunk(coll, true, idx);
-                if p > 2 {
-                    self.send_chunk(coll, true, idx, chunk_bytes[idx]);
-                }
-                if sent < total {
-                    self.send_chunk(coll, false, sent, chunk_bytes[sent]);
-                    sent += 1;
-                }
-            }
-        } else if r < p - 1 {
-            for (idx, &bytes) in chunk_bytes.iter().enumerate() {
-                self.recv_chunk(coll, false, idx);
-                self.send_chunk(coll, false, idx, bytes);
-            }
-            for (idx, &bytes) in chunk_bytes.iter().enumerate() {
-                self.recv_chunk(coll, true, idx);
-                if r != p - 2 {
-                    self.send_chunk(coll, true, idx, bytes);
-                }
-            }
-        } else {
-            for (idx, &bytes) in chunk_bytes.iter().enumerate() {
-                self.recv_chunk(coll, false, idx);
-                self.send_chunk(coll, true, idx, bytes);
+            if let Some(bcast) = step.send_leg() {
+                self.push(
+                    Dir::Send,
+                    self.ring_send(),
+                    MsgId::Chunk { coll, bcast, idx },
+                    Some(chunk_bytes[idx]),
+                );
             }
         }
-        // Closed-form wire bytes for this rank's sends; `AC0604`
-        // cross-checks it against the event-sum above.
-        let own: usize = chunk_bytes.iter().sum();
-        self.exp.ring_wire += if r == 0 {
-            if p > 2 {
-                2 * own
-            } else {
-                own
-            }
-        } else if r == p - 1 || r == p - 2 {
-            own
-        } else {
-            2 * own
-        };
+        // `AC0604` cross-checks this against the event-sum above.
+        self.exp.ring_wire += chain_wire(self.tpi, self.tp, chunk_bytes.iter().sum());
     }
 
-    /// The gather ring (`gathered_reduce` / `all_gather`): both emit
-    /// the identical send/recv interleave, differing only in whether
-    /// the sends are metered.
-    fn gather_ring(&mut self, bytes: Option<usize>) {
-        let p = self.tp;
-        if p == 1 {
+    /// One ring all-gather (`gathered_reduce` or the grad sync): this
+    /// rank's [`gather_hops`] expanded into gather events. Only the
+    /// gathered reduce meters its sends (`bytes`).
+    fn gather_collective(&mut self, bytes: Option<usize>) {
+        if self.tp == 1 {
             return;
         }
         let coll = self.coll;
         self.coll += 1;
-        let r = self.tpi;
-        for j in 0..p - 1 {
-            let send_origin = (r + p - j) % p;
-            let recv_origin = (r + p - 1 - j) % p;
+        for (sent, received) in gather_hops(self.tpi, self.tp) {
             self.push(
                 Dir::Send,
                 self.ring_send(),
-                MsgId::Gather {
-                    coll,
-                    origin: send_origin,
-                },
+                MsgId::Gather { coll, origin: sent },
                 bytes,
             );
             self.push(
@@ -535,7 +483,7 @@ impl Gen {
                 self.ring_recv(),
                 MsgId::Gather {
                     coll,
-                    origin: recv_origin,
+                    origin: received,
                 },
                 None,
             );
@@ -550,14 +498,13 @@ impl Gen {
             return;
         }
         if lc.summable {
-            let chunk_bytes = lc.chunk_bytes.clone();
-            self.chunk_ring(&chunk_bytes);
-            let own: usize = chunk_bytes.iter().sum();
+            self.chain_collective(&lc.chunk_bytes);
+            let own: usize = lc.chunk_bytes.iter().sum();
             self.exp.reduce_wire += 2 * (p - 1) * own / p;
             self.exp.reduce_dense += 2 * (p - 1) * (len * 2) / p;
             self.exp.ring_dense += (p - 1) * own;
         } else {
-            self.gather_ring(Some(lc.msg_bytes));
+            self.gather_collective(Some(lc.msg_bytes));
             let gathered = p * lc.msg_bytes;
             let sent = (p - 1) * lc.msg_bytes;
             self.exp.reduce_wire += gathered * (p - 1) / p;
@@ -574,7 +521,7 @@ impl Gen {
         }
         let plan = ring_chunk_plan(self.chunk_rows, rows);
         let chunk_bytes: Vec<usize> = plan.iter().map(|&r| r * self.hidden * 2).collect();
-        self.chunk_ring(&chunk_bytes);
+        self.chain_collective(&chunk_bytes);
         self.exp.ring_dense += (self.tp - 1) * rows * self.hidden * 2;
     }
 
@@ -609,6 +556,26 @@ impl Gen {
                 None,
             );
         }
+    }
+}
+
+/// Closed-form wire bytes rank `rank` of a `world`-rank ring sends in
+/// one chain-reduce + broadcast whose chunks total `own` bytes: rank 0
+/// seeds every chunk and forwards every total (when `world > 2`), the
+/// root and rank `world − 2` each send every chunk once, and every
+/// other rank sends every chunk twice. Independent of [`chain_steps`]
+/// on purpose: `AC0604` checks the two against each other.
+pub(crate) fn chain_wire(rank: usize, world: usize, own: usize) -> usize {
+    if rank == 0 {
+        if world > 2 {
+            2 * own
+        } else {
+            own
+        }
+    } else if rank == world - 1 || rank == world - 2 {
+        own
+    } else {
+        2 * own
     }
 }
 
@@ -817,8 +784,8 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
             g.phase = Phase::Sync;
             for _l in lo..hi {
                 // Attention then feed-forward compressor-grad gathers.
-                g.gather_ring(None);
-                g.gather_ring(None);
+                g.gather_collective(None);
+                g.gather_collective(None);
             }
             if tpi == 0 && !last {
                 g.push(

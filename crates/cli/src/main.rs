@@ -22,6 +22,7 @@ use actcomp_data::GlueTask;
 use actcomp_distsim::IterationBreakdown;
 use actcomp_perfmodel::scaling::{paper_bandwidth_elems, table10_configs};
 use actcomp_perfmodel::{weak_scaling, PerfCoefficients};
+use actcomp_runtime::RingTuning;
 use args::Args;
 
 fn main() {
@@ -351,28 +352,29 @@ fn run(args: &Args) {
     if let Some(n) = kernel_threads {
         actcomp_tensor::pool::set_threads(n);
     }
-    if let Some(n) = chunk_rows {
-        actcomp_runtime::set_chunk_rows(n);
-    }
-    if let Some(n) = pipeline_depth {
-        actcomp_runtime::set_pipeline_depth(n);
-    }
 
     let plan = cfg.resolve_plan().expect("validated spec resolves");
-    let mp_cfg = actcomp_mp::MpConfig {
-        bert: actcomp_nn::BertConfig {
-            vocab,
-            hidden,
-            layers,
-            heads,
-            ff_hidden: ff,
-            max_seq: seq,
+    // One engine config for the threads and procs arms: procs workers
+    // rebuild their rings from exactly this struct.
+    let rt_cfg = actcomp_runtime::RuntimeConfig {
+        mp: actcomp_mp::MpConfig {
+            bert: actcomp_nn::BertConfig {
+                vocab,
+                hidden,
+                layers,
+                heads,
+                ff_hidden: ff,
+                max_seq: seq,
+            },
+            tp,
+            pp,
+            plan,
+            tokens: batch * seq,
+            error_feedback: cfg.plan.error_feedback,
         },
-        tp,
-        pp,
-        plan,
-        tokens: batch * seq,
-        error_feedback: cfg.plan.error_feedback,
+        micro_batches: m,
+        tuning: ring_tuning(chunk_rows, pipeline_depth),
+        trace: audit,
     };
 
     let mut drng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x1d5);
@@ -397,12 +399,6 @@ fn run(args: &Args) {
                     std::process::exit(1);
                 })
             });
-            let rt_cfg = actcomp_runtime::RuntimeConfig {
-                mp: mp_cfg,
-                micro_batches: m,
-                tuning: None,
-                trace: audit,
-            };
             let mut rt =
                 actcomp_runtime::ThreadedRuntime::new(&mut rng, rt_cfg).unwrap_or_else(|e| {
                     eprintln!("error: {e}");
@@ -462,12 +458,6 @@ fn run(args: &Args) {
                     eprintln!("error: {e}");
                     std::process::exit(2);
                 });
-            let rt_cfg = actcomp_runtime::RuntimeConfig {
-                mp: mp_cfg,
-                micro_batches: m,
-                tuning: None,
-                trace: false,
-            };
             let mut procs = actcomp_runtime::ProcsOptions::new(rt_cfg, seed, kind);
             procs.link_mbps = link_mbps;
             procs.fail_rank = fail_rank;
@@ -549,7 +539,7 @@ fn run(args: &Args) {
             if m > 1 {
                 println!("note: the serial executor runs the whole batch per step (m ignored)");
             }
-            let mut mp = actcomp_mp::MpBert::try_new(&mut rng, mp_cfg).unwrap_or_else(|e| {
+            let mut mp = actcomp_mp::MpBert::try_new(&mut rng, rt_cfg.mp).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             });
@@ -581,6 +571,15 @@ fn run(args: &Args) {
         // Unknown backends were already rejected by the AC0301 check.
         other => unreachable!("backend `{other}` passed validation"),
     }
+}
+
+/// The ring tuning `--chunk-rows` / `--pipeline-depth` ask for; `None`
+/// (the engine default) when neither flag is given.
+fn ring_tuning(chunk_rows: Option<usize>, pipeline_depth: Option<usize>) -> Option<RingTuning> {
+    (chunk_rows.is_some() || pipeline_depth.is_some()).then(|| RingTuning {
+        chunk_rows,
+        pipeline_depth: pipeline_depth.unwrap_or(RingTuning::default().pipeline_depth),
+    })
 }
 
 /// An in-process framed transport world for the threads serving

@@ -77,6 +77,34 @@ fn procs_uds_and_tcp_match_threads_bitwise() {
 }
 
 #[test]
+fn ring_flags_reach_procs_workers() {
+    // A2 codes are chunked per collective, and the auto-encoder's
+    // gradient sums rows chunk by chunk, so the chunk plan shows up in
+    // the gradient bits. Workers that ignored the flags would hash like
+    // the default plan.
+    let ring = ["--spec", "A2", "--chunk-rows", "3", "--pipeline-depth", "1"];
+    let with = |backend: &str, name: &str| {
+        let mut extra = vec!["--backend", backend];
+        extra.extend_from_slice(&ring);
+        grad_hash(&run(&extra, name))
+    };
+    let threads = with("threads", "ring-threads");
+    let default = grad_hash(&run(
+        &["--backend", "threads", "--spec", "A2"],
+        "ring-default",
+    ));
+    assert_ne!(
+        threads, default,
+        "this shape must be sensitive to the chunk plan for the test to see the flags"
+    );
+    let procs = with("procs", "ring-procs");
+    assert_eq!(
+        procs, threads,
+        "procs workers must run the flagged ring tuning"
+    );
+}
+
+#[test]
 fn throttled_tcp_is_still_bit_identical() {
     let threads = grad_hash(&run(&["--backend", "threads"], "threads-thr"));
     let throttled = grad_hash(&run(

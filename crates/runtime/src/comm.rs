@@ -8,8 +8,11 @@
 //!
 //! # Ring algorithm
 //!
-//! Dense reduces and summable-code reduces use a **pipelined chain
-//! reduce plus ring broadcast** over row chunks:
+//! The schedules are defined once, in [`actcomp_check::collectives`]:
+//! [`TpGroup`] walks the same chain-reduce/broadcast steps and gather
+//! hops that the static comm-protocol analyzer expands into the events
+//! it proves deadlock-free. Dense reduces and summable-code reduces use
+//! a **pipelined chain reduce plus ring broadcast** over row chunks:
 //!
 //! 1. *Chain reduce* (rank order `0 → 1 → … → p−1`): rank 0 ships each
 //!    chunk of its partial; every rank in between adds its own rows to
@@ -41,7 +44,10 @@
 //! back-pressure needed). Because every rank sends its reduce-phase
 //! chunks in index order and broadcast forwards in index order, each
 //! link's FIFO matches the receiver's processing order up to the
-//! reduce/broadcast interleave, which a small stash absorbs.
+//! reduce/broadcast interleave, which a small stash absorbs. One walk
+//! serves both reduce kinds; a small per-chunk trait supplies the
+//! arithmetic (dense rows: copy, add, copy out, recycle; summable codes:
+//! encode, [`Compressed::sum`], decode).
 //!
 //! Summable codecs that declare [`Compressor::chunkable`] (identity,
 //! auto-encoder) are encoded per chunk and their codes chain-reduced
@@ -57,100 +63,22 @@ use crate::link::{typed_pair, MsgRx, MsgTx, CHAN_RING};
 use crate::report::{timed, PhaseTimers};
 use crate::trace::TraceHandle;
 use crate::wire::{le32_run_len, put_f32_slice, put_u8, put_usize, Reader, WireError, WireMsg};
+use actcomp_check::collectives::{
+    chain_steps, gather_hops, ring_chunk_plan, ChainStep, DEFAULT_PIPELINE_DEPTH,
+};
 use actcomp_check::{ChannelId, Dir, MsgId};
 use actcomp_compress::{Compressed, Compressor};
 use actcomp_mp::CommBytes;
 use actcomp_net::{Transport, TransportError};
-use actcomp_tensor::{pool, Tensor, Workspace};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use actcomp_tensor::{Tensor, Workspace};
 use std::time::Instant;
-
-/// Rows-per-chunk target when no explicit chunk size is configured:
-/// split into this many chunks.
-const DEFAULT_CHUNKS: usize = 4;
-
-/// Default sender lookahead, in chunks, for the pipeline head (rank 0).
-const DEFAULT_PIPELINE_DEPTH: usize = 4;
-
-/// Process-wide `--chunk-rows` override (0 = unset).
-static CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide `--pipeline-depth` override (0 = unset).
-static PIPELINE_DEPTH: AtomicUsize = AtomicUsize::new(0);
-
-/// Lazily-parsed `ACTCOMP_CHUNK_ROWS` environment value.
-static ENV_CHUNK_ROWS: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Overrides the ring-collective chunk size (rows per chunk) for the
-/// rest of the process — the CLI's `--chunk-rows` flag lands here after
-/// validation. Takes precedence over `ACTCOMP_CHUNK_ROWS`.
-///
-/// # Panics
-///
-/// Panics if `rows` is zero (`actcomp check` rejects this statically as
-/// `AC0501`); [`try_set_chunk_rows`] reports the same condition as a
-/// typed error instead.
-pub fn set_chunk_rows(rows: usize) {
-    try_set_chunk_rows(rows).expect("chunk row count must be at least 1");
-}
-
-/// Fallible form of [`set_chunk_rows`]: rejects a zero row count as
-/// [`RuntimeError::ZeroChunkRows`](crate::config::RuntimeError::ZeroChunkRows)
-/// instead of panicking.
-pub fn try_set_chunk_rows(rows: usize) -> Result<(), crate::config::RuntimeError> {
-    if rows == 0 {
-        return Err(crate::config::RuntimeError::ZeroChunkRows);
-    }
-    CHUNK_ROWS.store(rows, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Overrides the ring pipeline depth (maximum reduce chunks in flight
-/// ahead of the broadcast) for the rest of the process — the CLI's
-/// `--pipeline-depth` flag lands here after validation.
-///
-/// # Panics
-///
-/// Panics if `depth` is zero (`AC0502`); [`try_set_pipeline_depth`]
-/// reports the same condition as a typed error instead.
-pub fn set_pipeline_depth(depth: usize) {
-    try_set_pipeline_depth(depth).expect("pipeline depth must be at least 1");
-}
-
-/// Fallible form of [`set_pipeline_depth`]: rejects a zero depth as
-/// [`RuntimeError::ZeroPipelineDepth`](crate::config::RuntimeError::ZeroPipelineDepth)
-/// instead of panicking.
-pub fn try_set_pipeline_depth(depth: usize) -> Result<(), crate::config::RuntimeError> {
-    if depth == 0 {
-        return Err(crate::config::RuntimeError::ZeroPipelineDepth);
-    }
-    PIPELINE_DEPTH.store(depth, Ordering::Relaxed);
-    Ok(())
-}
-
-fn env_chunk_rows() -> Option<usize> {
-    *ENV_CHUNK_ROWS.get_or_init(|| match std::env::var("ACTCOMP_CHUNK_ROWS") {
-        Ok(v) => match pool::parse_count_spec(&v, "chunk row count") {
-            Ok(n) => Some(n),
-            Err(e) => {
-                eprintln!(
-                    "warning: ignoring invalid ACTCOMP_CHUNK_ROWS ({e}); \
-                     using automatic chunking"
-                );
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
 
 /// Chunking/pipelining knobs for ring collectives.
 ///
-/// Every endpoint of a ring captures the process-wide configuration at
-/// [`TpGroup::ring`] time; tests may override the copy on each endpoint,
-/// as long as all endpoints of one ring agree (the chunk plan must be
-/// identical on every rank).
+/// An engine takes them from [`RuntimeConfig::tuning`](crate::RuntimeConfig::tuning)
+/// (the default when unset); tests may override the copy on each
+/// endpoint, as long as all endpoints of one ring agree (the chunk plan
+/// must be identical on every rank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RingTuning {
     /// Rows per chunk; `None` picks `ceil(rows / 4)` per collective.
@@ -161,46 +89,11 @@ pub struct RingTuning {
 }
 
 impl RingTuning {
-    /// Resolves the process-wide configuration: [`set_chunk_rows`] /
-    /// [`set_pipeline_depth`] first, then `ACTCOMP_CHUNK_ROWS`, then
-    /// automatic chunking at the default pipeline depth (4).
-    pub fn configured() -> RingTuning {
-        let chunk_rows = match CHUNK_ROWS.load(Ordering::Relaxed) {
-            0 => env_chunk_rows(),
-            n => Some(n),
-        };
-        let pipeline_depth = match PIPELINE_DEPTH.load(Ordering::Relaxed) {
-            0 => DEFAULT_PIPELINE_DEPTH,
-            n => n,
-        };
-        RingTuning {
-            chunk_rows,
-            pipeline_depth,
-        }
-    }
-
-    /// The per-chunk row counts for a `rows`-row collective. Depends
-    /// only on `(self, rows)` — never on runtime state — so every rank
-    /// of a ring derives the same plan independently. Public so the
-    /// static comm-protocol analyzer can pin its mirror
-    /// (`actcomp_check::collectives::ring_chunk_plan`) against the
-    /// engine's plan in cross-crate tests.
+    /// The per-chunk row counts for a `rows`-row collective
+    /// ([`ring_chunk_plan`]). Depends only on `(self, rows)`, so every
+    /// rank of a ring derives the same plan independently.
     pub fn plan(&self, rows: usize) -> Vec<usize> {
-        if rows == 0 {
-            return vec![0];
-        }
-        let per = self
-            .chunk_rows
-            .unwrap_or_else(|| rows.div_ceil(DEFAULT_CHUNKS))
-            .max(1);
-        let mut plan = Vec::with_capacity(rows.div_ceil(per));
-        let mut left = rows;
-        while left > 0 {
-            let c = per.min(left);
-            plan.push(c);
-            left -= c;
-        }
-        plan
+        ring_chunk_plan(self.chunk_rows, rows)
     }
 }
 
@@ -224,8 +117,19 @@ pub(crate) enum GatherPayload {
     Grads(Vec<Tensor>),
 }
 
+impl GatherPayload {
+    /// The wire bytes a traced send of this payload records: codes are
+    /// metered, the dense reference path and grad syncs are not.
+    fn metered_bytes(&self) -> Option<usize> {
+        match self {
+            GatherPayload::Code(c) => Some(c.wire_bytes(2)),
+            GatherPayload::Dense(_) | GatherPayload::Grads(_) => None,
+        }
+    }
+}
+
 /// One row chunk of a chain-reduce / broadcast collective.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum ChunkData {
     /// Raw rows of a dense reduce (owned, recycled via `Workspace`).
     Dense(Vec<f32>),
@@ -239,6 +143,20 @@ impl ChunkData {
         match self {
             ChunkData::Dense(v) => v.len() * 2,
             ChunkData::Code(c) => c.wire_bytes(2),
+        }
+    }
+
+    fn into_dense(self) -> Vec<f32> {
+        match self {
+            ChunkData::Dense(rows) => rows,
+            ChunkData::Code(_) => panic!("dense reduce received a code chunk"),
+        }
+    }
+
+    fn into_code(self) -> Compressed {
+        match self {
+            ChunkData::Code(c) => c,
+            ChunkData::Dense(_) => panic!("code reduce received a dense chunk"),
         }
     }
 }
@@ -367,17 +285,6 @@ fn rows_width(t: &Tensor) -> (usize, usize) {
     (rows, len / rows)
 }
 
-/// Cumulative `(start, end)` element ranges for a row-chunk plan.
-fn elem_bounds(plan: &[usize], width: usize) -> Vec<(usize, usize)> {
-    let mut bounds = Vec::with_capacity(plan.len());
-    let mut at = 0;
-    for &rows in plan {
-        bounds.push((at * width, (at + rows) * width));
-        at += rows;
-    }
-    bounds
-}
-
 /// Cumulative `(start, end)` row ranges for a row-chunk plan.
 fn row_bounds(plan: &[usize]) -> Vec<(usize, usize)> {
     let mut bounds = Vec::with_capacity(plan.len());
@@ -389,47 +296,208 @@ fn row_bounds(plan: &[usize]) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// Encodes chunk `idx` of `partial` (the whole tensor when the plan is a
-/// single chunk), charging the compressor to `encode_s` and adding the
-/// code's wire size to `own_wire`.
-fn encode_chunk(
-    comp: &mut dyn Compressor,
-    partial: &Tensor,
-    bounds: &[(usize, usize)],
-    idx: usize,
-    timers: &mut PhaseTimers,
-    own_wire: &mut usize,
-) -> Compressed {
-    let code = if bounds.len() == 1 {
-        timed(&mut timers.encode_s, || comp.compress(partial))
-    } else {
-        let (r0, r1) = bounds[idx];
-        let chunk = partial.slice_rows(r0, r1);
-        timed(&mut timers.encode_s, || comp.compress(&chunk))
-    };
-    *own_wire += code.wire_bytes(2);
-    code
+/// The per-chunk arithmetic of one chain-reduce + broadcast collective.
+/// [`TpGroup::chain_walk`] runs the shared [`chain_steps`] schedule and
+/// calls these at each step; the two impls are dense rows
+/// ([`DenseChunks`]) and summable codes ([`CodeChunks`]).
+trait ChunkOps {
+    /// This rank's contribution to a chunk, prepared before the blocking
+    /// receive of the running sum.
+    type Own;
+    /// Prepares this rank's own chunk `idx`.
+    fn own(&mut self, idx: usize, timers: &mut PhaseTimers) -> Self::Own;
+    /// Rank 0's chunk `idx` as it starts down the chain.
+    fn seed(&mut self, idx: usize, timers: &mut PhaseTimers) -> ChunkData;
+    /// Adds the own chunk to the running sum `acc`.
+    fn fold(
+        &mut self,
+        idx: usize,
+        acc: ChunkData,
+        own: Self::Own,
+        timers: &mut PhaseTimers,
+    ) -> ChunkData;
+    /// The root's step: folds the own chunk into `acc`, hands the total
+    /// to `ship` (which starts its broadcast) and keeps it in the
+    /// output.
+    fn root(
+        &mut self,
+        idx: usize,
+        acc: ChunkData,
+        own: Self::Own,
+        timers: &mut PhaseTimers,
+        ship: impl FnOnce(ChunkData, &mut PhaseTimers),
+    );
+    /// Writes the broadcast total of chunk `idx` into the output.
+    fn consume(&mut self, idx: usize, total: &ChunkData, timers: &mut PhaseTimers);
+    /// Takes back a consumed total that travels no further.
+    fn retire(&mut self, total: ChunkData);
 }
 
-/// Decodes a summed chunk code into rows `ebounds[idx]` of `out` (or
-/// into `single` when the collective is unchunked, avoiding the copy).
-fn consume_total(
-    comp: &dyn Compressor,
-    code: &Compressed,
-    idx: usize,
-    ebounds: &[(usize, usize)],
-    out: &mut Option<Tensor>,
-    single: &mut Option<Tensor>,
-    timers: &mut PhaseTimers,
-) {
-    let dec = timed(&mut timers.decode_s, || comp.decompress(code));
-    match out {
-        Some(o) => {
-            let (s, e) = ebounds[idx];
-            o.as_mut_slice()[s..e].copy_from_slice(dec.as_slice());
-        }
-        None => *single = Some(dec),
+/// Dense rows of an exact all-reduce. Chunks travel as row buffers
+/// leased from the workspace: they are summed and forwarded in place,
+/// with no copy per hop, and recycled when the broadcast ends.
+struct DenseChunks<'a> {
+    data: &'a [f32],
+    width: usize,
+    rows: Vec<(usize, usize)>,
+    out: Tensor,
+    ws: &'a mut Workspace,
+}
+
+impl DenseChunks<'_> {
+    /// Element range of chunk `idx`.
+    fn span(&self, idx: usize) -> (usize, usize) {
+        let (r0, r1) = self.rows[idx];
+        (r0 * self.width, r1 * self.width)
     }
+}
+
+impl ChunkOps for DenseChunks<'_> {
+    type Own = ();
+
+    fn own(&mut self, _idx: usize, _timers: &mut PhaseTimers) {}
+
+    fn seed(&mut self, idx: usize, _timers: &mut PhaseTimers) -> ChunkData {
+        let (s, e) = self.span(idx);
+        let mut buf = self.ws.lease(e - s);
+        buf.copy_from_slice(&self.data[s..e]);
+        ChunkData::Dense(buf)
+    }
+
+    fn fold(
+        &mut self,
+        idx: usize,
+        acc: ChunkData,
+        _own: (),
+        timers: &mut PhaseTimers,
+    ) -> ChunkData {
+        let (s, e) = self.span(idx);
+        let mut buf = acc.into_dense();
+        timed(&mut timers.decode_s, || {
+            for (b, &v) in buf.iter_mut().zip(&self.data[s..e]) {
+                *b += v;
+            }
+        });
+        ChunkData::Dense(buf)
+    }
+
+    fn root(
+        &mut self,
+        idx: usize,
+        acc: ChunkData,
+        own: (),
+        timers: &mut PhaseTimers,
+        ship: impl FnOnce(ChunkData, &mut PhaseTimers),
+    ) {
+        // Sum and copy out first, then ship the buffer itself: the
+        // total needs no clone.
+        let total = self.fold(idx, acc, own, timers);
+        self.consume(idx, &total, timers);
+        ship(total, timers);
+    }
+
+    fn consume(&mut self, idx: usize, total: &ChunkData, timers: &mut PhaseTimers) {
+        let (s, e) = self.span(idx);
+        let ChunkData::Dense(buf) = total else {
+            panic!("dense reduce received a code chunk")
+        };
+        timed(&mut timers.decode_s, || {
+            self.out.as_mut_slice()[s..e].copy_from_slice(buf);
+        });
+    }
+
+    fn retire(&mut self, total: ChunkData) {
+        self.ws.recycle(total.into_dense());
+    }
+}
+
+/// Per-chunk codes of a summable compressor. Each rank encodes its own
+/// rows (the whole tensor when the plan is one chunk), sums codes with
+/// [`Compressed::sum`] along the chain and decodes each total once.
+struct CodeChunks<'a> {
+    comp: &'a mut dyn Compressor,
+    partial: &'a Tensor,
+    width: usize,
+    rows: Vec<(usize, usize)>,
+    /// Chunked collectives assemble rows into this leased tensor;
+    /// unchunked ones (`None`) return the single decode directly.
+    out: Option<Tensor>,
+    single: Option<Tensor>,
+    /// Wire bytes of this rank's own codes.
+    own_wire: usize,
+}
+
+impl CodeChunks<'_> {
+    fn finish(self) -> Tensor {
+        match self.out {
+            Some(o) => o,
+            None => self.single.expect("unchunked collective decoded once"),
+        }
+    }
+}
+
+impl ChunkOps for CodeChunks<'_> {
+    type Own = Compressed;
+
+    /// Encodes before the blocking receive, so this rank's encode
+    /// overlaps the upstream chain work.
+    fn own(&mut self, idx: usize, timers: &mut PhaseTimers) -> Compressed {
+        let code = if self.rows.len() == 1 {
+            timed(&mut timers.encode_s, || self.comp.compress(self.partial))
+        } else {
+            let (r0, r1) = self.rows[idx];
+            let chunk = self.partial.slice_rows(r0, r1);
+            timed(&mut timers.encode_s, || self.comp.compress(&chunk))
+        };
+        self.own_wire += code.wire_bytes(2);
+        code
+    }
+
+    fn seed(&mut self, idx: usize, timers: &mut PhaseTimers) -> ChunkData {
+        ChunkData::Code(self.own(idx, timers))
+    }
+
+    fn fold(
+        &mut self,
+        _idx: usize,
+        acc: ChunkData,
+        own: Compressed,
+        timers: &mut PhaseTimers,
+    ) -> ChunkData {
+        let prev = acc.into_code();
+        ChunkData::Code(timed(&mut timers.decode_s, || prev.sum(&own)))
+    }
+
+    fn root(
+        &mut self,
+        idx: usize,
+        acc: ChunkData,
+        own: Compressed,
+        timers: &mut PhaseTimers,
+        ship: impl FnOnce(ChunkData, &mut PhaseTimers),
+    ) {
+        // Ship the total before decoding locally so the peers' decodes
+        // overlap ours.
+        let total = self.fold(idx, acc, own, timers);
+        ship(total.clone(), timers);
+        self.consume(idx, &total, timers);
+    }
+
+    fn consume(&mut self, idx: usize, total: &ChunkData, timers: &mut PhaseTimers) {
+        let ChunkData::Code(code) = total else {
+            panic!("code reduce received a dense chunk")
+        };
+        let dec = timed(&mut timers.decode_s, || self.comp.decompress(code));
+        match &mut self.out {
+            Some(o) => {
+                let (r0, r1) = self.rows[idx];
+                o.as_mut_slice()[r0 * self.width..r1 * self.width].copy_from_slice(dec.as_slice());
+            }
+            None => self.single = Some(dec),
+        }
+    }
+
+    fn retire(&mut self, _total: ChunkData) {}
 }
 
 /// One rank's endpoint of a tensor-parallel ring of `world` ranks.
@@ -455,9 +523,9 @@ pub struct TpGroup {
     /// sent per rank. For the gather reference path the two are equal;
     /// for ring collectives `wire ≤ dense`, strictly less for `p ≥ 3`.
     pub ring_bytes: CommBytes,
-    /// Chunking/pipelining knobs, captured from the process-wide
-    /// configuration at ring construction. Tests may override, but all
-    /// endpoints of one ring must agree.
+    /// Chunking/pipelining knobs; the default until the engine installs
+    /// its configured tuning. Tests may override, but all endpoints of
+    /// one ring must agree.
     pub tuning: RingTuning,
     /// Audit-trace handle; `None` (the default) records nothing.
     trace: Option<TraceHandle>,
@@ -520,7 +588,7 @@ impl TpGroup {
             prev_rx: rx,
             bytes: CommBytes::default(),
             ring_bytes: CommBytes::default(),
-            tuning: RingTuning::configured(),
+            tuning: RingTuning::default(),
             trace: None,
             coll: 0,
             active_coll: 0,
@@ -557,7 +625,7 @@ impl TpGroup {
             prev_rx: None,
             bytes: CommBytes::default(),
             ring_bytes: CommBytes::default(),
-            tuning: RingTuning::configured(),
+            tuning: RingTuning::default(),
             trace: None,
             coll: 0,
             active_coll: 0,
@@ -661,86 +729,132 @@ impl TpGroup {
         })
     }
 
-    /// Receives a chunk that must be dense rows.
-    fn recv_dense_chunk(
-        &self,
-        bcast: bool,
-        idx: usize,
-        stash: &mut Vec<ChunkMsg>,
+    /// Sends one gather hop carrying `origin`'s payload to the next
+    /// rank, returning its metered wire bytes (0 when unmetered).
+    fn send_gather(
+        &mut self,
+        origin: usize,
+        payload: &GatherPayload,
         timers: &mut PhaseTimers,
-    ) -> Vec<f32> {
-        match self.recv_chunk(bcast, idx, stash, timers) {
-            ChunkData::Dense(b) => b,
-            ChunkData::Code(_) => panic!("dense reduce received a code chunk"),
+    ) -> usize {
+        let bytes = payload.metered_bytes();
+        if let Some(trace) = &self.trace {
+            trace.record(
+                Dir::Send,
+                self.trace_send_channel(trace),
+                MsgId::Gather {
+                    coll: self.active_coll,
+                    origin,
+                },
+                bytes,
+            );
         }
+        let tx = self.next_tx.as_ref().expect("ring sender");
+        timed(&mut timers.wire_s, || {
+            tx.send(RingMsg::Gather(origin, payload.clone()))
+                .expect("ring peer hung up");
+        });
+        bytes.unwrap_or(0)
     }
 
-    /// Receives a chunk that must be a code.
-    fn recv_code_chunk(
-        &self,
-        bcast: bool,
-        idx: usize,
-        stash: &mut Vec<ChunkMsg>,
-        timers: &mut PhaseTimers,
-    ) -> Compressed {
-        match self.recv_chunk(bcast, idx, stash, timers) {
-            ChunkData::Code(c) => c,
-            ChunkData::Dense(_) => panic!("code reduce received a dense chunk"),
+    /// Receives the next gather hop, which the schedule says carries
+    /// rank `expected`'s payload.
+    fn recv_gather(&self, expected: usize, timers: &mut PhaseTimers) -> (usize, GatherPayload) {
+        let rx = self.prev_rx.as_ref().expect("ring receiver");
+        let (origin, payload) = timed(&mut timers.wire_s, || {
+            match rx.recv().expect("ring peer hung up") {
+                RingMsg::Gather(origin, payload) => (origin, payload),
+                RingMsg::Chunk(_) => panic!("ring delivered a chunk message to an all-gather"),
+            }
+        });
+        debug_assert_eq!(origin, expected, "gather hop out of ring order");
+        if let Some(trace) = &self.trace {
+            trace.record(
+                Dir::Recv,
+                self.trace_recv_channel(trace),
+                MsgId::Gather {
+                    coll: self.active_coll,
+                    origin,
+                },
+                None,
+            );
         }
+        (origin, payload)
+    }
+
+    /// Walks the ring all-gather ([`gather_hops`]): ships `own`, then
+    /// forwards every arriving payload but the last. Each payload, own
+    /// first and then arrivals in ring order, goes to `arrive` once it
+    /// has been forwarded. Returns the metered bytes this rank sent.
+    fn gather_walk(
+        &mut self,
+        own: GatherPayload,
+        timers: &mut PhaseTimers,
+        mut arrive: impl FnMut(usize, GatherPayload, &mut PhaseTimers),
+    ) -> usize {
+        self.begin_collective();
+        let mut sent = 0;
+        let mut held = (self.rank, own);
+        for (_, receive) in gather_hops(self.rank, self.world) {
+            sent += self.send_gather(held.0, &held.1, timers);
+            arrive(held.0, held.1, timers);
+            held = self.recv_gather(receive, timers);
+        }
+        arrive(held.0, held.1, timers);
+        sent
     }
 
     /// All-gathers one payload per rank around the ring, returning the
-    /// payloads indexed by origin rank. Blocking time is charged to the
-    /// `wire` phase.
+    /// payloads indexed by origin rank.
     fn all_gather(&mut self, own: GatherPayload, timers: &mut PhaseTimers) -> Vec<GatherPayload> {
-        let mut out: Vec<Option<GatherPayload>> = (0..self.world).map(|_| None).collect();
-        out[self.rank] = Some(own.clone());
         if self.world == 1 {
-            return out.into_iter().map(|o| o.expect("own payload")).collect();
+            return vec![own];
         }
-        self.begin_collective();
-        timed(&mut timers.wire_s, || {
-            let tx = self.next_tx.as_ref().expect("ring sender");
-            let rx = self.prev_rx.as_ref().expect("ring receiver");
-            let mut carry = (self.rank, own);
-            for _ in 0..self.world - 1 {
-                if let Some(trace) = &self.trace {
-                    trace.record(
-                        Dir::Send,
-                        self.trace_send_channel(trace),
-                        MsgId::Gather {
-                            coll: self.active_coll,
-                            origin: carry.0,
-                        },
-                        None,
-                    );
-                }
-                tx.send(RingMsg::Gather(carry.0, carry.1))
-                    .expect("ring peer hung up");
-                let (origin, payload) = match rx.recv().expect("ring peer hung up") {
-                    RingMsg::Gather(origin, payload) => (origin, payload),
-                    RingMsg::Chunk(_) => {
-                        panic!("ring delivered a chunk message to an all-gather")
-                    }
-                };
-                if let Some(trace) = &self.trace {
-                    trace.record(
-                        Dir::Recv,
-                        self.trace_recv_channel(trace),
-                        MsgId::Gather {
-                            coll: self.active_coll,
-                            origin,
-                        },
-                        None,
-                    );
-                }
-                out[origin] = Some(payload.clone());
-                carry = (origin, payload);
-            }
+        let mut out: Vec<Option<GatherPayload>> = (0..self.world).map(|_| None).collect();
+        self.gather_walk(own, timers, |origin, payload, _| {
+            out[origin] = Some(payload)
         });
         out.into_iter()
             .map(|o| o.expect("all-gather visited every rank"))
             .collect()
+    }
+
+    /// Walks this rank's [`chain_steps`] for a `chunks`-chunk
+    /// chain-reduce + broadcast, with `ops` doing the per-chunk work.
+    fn chain_walk(&mut self, ops: &mut impl ChunkOps, chunks: usize, timers: &mut PhaseTimers) {
+        self.begin_collective();
+        let mut stash: Vec<ChunkMsg> = Vec::new();
+        for step in chain_steps(self.rank, self.world, chunks, self.tuning.pipeline_depth) {
+            match step {
+                ChainStep::Seed(idx) => {
+                    let chunk = ops.seed(idx, timers);
+                    self.send_chunk(false, idx, chunk, timers);
+                }
+                ChainStep::Reduce(idx) => {
+                    let own = ops.own(idx, timers);
+                    let acc = self.recv_chunk(false, idx, &mut stash, timers);
+                    let acc = ops.fold(idx, acc, own, timers);
+                    self.send_chunk(false, idx, acc, timers);
+                }
+                ChainStep::Root(idx) => {
+                    let own = ops.own(idx, timers);
+                    let acc = self.recv_chunk(false, idx, &mut stash, timers);
+                    ops.root(idx, acc, own, timers, |total, timers| {
+                        self.send_chunk(true, idx, total, timers)
+                    });
+                }
+                ChainStep::Bcast { idx, forward } => {
+                    let total = self.recv_chunk(true, idx, &mut stash, timers);
+                    ops.consume(idx, &total, timers);
+                    if forward {
+                        self.send_chunk(true, idx, total, timers);
+                    } else {
+                        ops.retire(total);
+                    }
+                }
+            }
+        }
+        debug_assert!(stash.is_empty(), "collective left chunks in the stash");
     }
 
     /// The row-chunk plan `compressed_all_reduce` uses for `t`: a real
@@ -798,90 +912,29 @@ impl TpGroup {
         timers: &mut PhaseTimers,
         ws: &mut Workspace,
     ) -> Tensor {
-        self.begin_collective();
         let plan = self.codec_plan(comp, partial);
-        let total = plan.len();
-        let bounds = row_bounds(&plan);
-        let (_, width) = rows_width(partial);
-        let ebounds = elem_bounds(&plan, width);
-        let (r, p) = (self.rank, self.world);
-        let depth = self.tuning.pipeline_depth.max(1);
-        let mut stash: Vec<ChunkMsg> = Vec::new();
-        let mut own_wire = 0usize;
-        // Unchunked collectives return the decoded tensor directly
-        // (`single`); chunked ones assemble rows into a leased `out`.
-        let mut out = (total > 1).then(|| ws.lease_tensor(partial.shape().clone()));
-        let mut single: Option<Tensor> = None;
-
-        if r == 0 {
-            let mut sent = 0;
-            while sent < depth.min(total) {
-                let code = encode_chunk(comp, partial, &bounds, sent, timers, &mut own_wire);
-                self.send_chunk(false, sent, ChunkData::Code(code), timers);
-                sent += 1;
-            }
-            for idx in 0..total {
-                let code = self.recv_code_chunk(true, idx, &mut stash, timers);
-                consume_total(&*comp, &code, idx, &ebounds, &mut out, &mut single, timers);
-                if p > 2 {
-                    self.send_chunk(true, idx, ChunkData::Code(code), timers);
-                }
-                if sent < total {
-                    let code = encode_chunk(comp, partial, &bounds, sent, timers, &mut own_wire);
-                    self.send_chunk(false, sent, ChunkData::Code(code), timers);
-                    sent += 1;
-                }
-            }
-        } else if r < p - 1 {
-            for idx in 0..total {
-                // Encoding before the blocking receive overlaps this
-                // rank's encode with the upstream chain work.
-                let own = encode_chunk(comp, partial, &bounds, idx, timers, &mut own_wire);
-                let prev = self.recv_code_chunk(false, idx, &mut stash, timers);
-                let summed = timed(&mut timers.decode_s, || prev.sum(&own));
-                self.send_chunk(false, idx, ChunkData::Code(summed), timers);
-            }
-            for idx in 0..total {
-                let code = self.recv_code_chunk(true, idx, &mut stash, timers);
-                consume_total(&*comp, &code, idx, &ebounds, &mut out, &mut single, timers);
-                if r != p - 2 {
-                    self.send_chunk(true, idx, ChunkData::Code(code), timers);
-                }
-            }
-        } else {
-            for idx in 0..total {
-                let own = encode_chunk(comp, partial, &bounds, idx, timers, &mut own_wire);
-                let prev = self.recv_code_chunk(false, idx, &mut stash, timers);
-                let summed = timed(&mut timers.decode_s, || prev.sum(&own));
-                // Ship the total downstream before decoding locally so
-                // peers' decodes overlap ours.
-                self.send_chunk(true, idx, ChunkData::Code(summed.clone()), timers);
-                consume_total(
-                    &*comp,
-                    &summed,
-                    idx,
-                    &ebounds,
-                    &mut out,
-                    &mut single,
-                    timers,
-                );
-            }
-        }
-        debug_assert!(stash.is_empty(), "collective left chunks in the stash");
+        let mut ops = CodeChunks {
+            comp,
+            partial,
+            width: rows_width(partial).1,
+            rows: row_bounds(&plan),
+            out: (plan.len() > 1).then(|| ws.lease_tensor(partial.shape().clone())),
+            single: None,
+            own_wire: 0,
+        };
+        self.chain_walk(&mut ops, plan.len(), timers);
 
         // Serial-matching accounting: an all-reduce of `b` own bytes
         // costs `2 (p−1) b / p` per rank.
+        let p = self.world;
         let per_rank_ar = |bytes: usize| 2 * (p - 1) * bytes / p;
         self.bytes.add(CommBytes {
-            wire: per_rank_ar(own_wire),
+            wire: per_rank_ar(ops.own_wire),
             dense: per_rank_ar(partial.len() * 2),
         });
         // Gather-equivalent baseline for the ring-vs-gather comparison.
-        self.ring_bytes.dense += (p - 1) * own_wire;
-        match out {
-            Some(o) => o,
-            None => single.expect("unchunked collective decoded once"),
-        }
+        self.ring_bytes.dense += (p - 1) * ops.own_wire;
+        ops.finish()
     }
 
     /// All-gather reduce for non-summable codecs, decoding each message
@@ -892,72 +945,22 @@ impl TpGroup {
         partial: &Tensor,
         timers: &mut PhaseTimers,
     ) -> Tensor {
-        self.begin_collective();
         let p = self.world;
         let msg = timed(&mut timers.encode_s, || comp.compress(partial));
-        let mut gathered_bytes = msg.wire_bytes(2);
-        let mut sent_bytes = msg.wire_bytes(2);
+        let mut gathered_bytes = 0;
         let mut decs: Vec<Option<Tensor>> = (0..p).map(|_| None).collect();
-        {
-            let tx = self.next_tx.as_ref().expect("ring sender");
-            let rx = self.prev_rx.as_ref().expect("ring receiver");
-            if let Some(trace) = &self.trace {
-                trace.record(
-                    Dir::Send,
-                    self.trace_send_channel(trace),
-                    MsgId::Gather {
-                        coll: self.active_coll,
-                        origin: self.rank,
-                    },
-                    Some(msg.wire_bytes(2)),
-                );
-            }
-            timed(&mut timers.wire_s, || {
-                tx.send(RingMsg::Gather(self.rank, GatherPayload::Code(msg.clone())))
-                    .expect("ring peer hung up");
-            });
-            // Own decode runs while peers encode and ship.
-            decs[self.rank] = Some(timed(&mut timers.decode_s, || comp.decompress(&msg)));
-            for hop in 0..p - 1 {
-                let (origin, code) = timed(&mut timers.wire_s, || {
-                    match rx.recv().expect("ring peer hung up") {
-                        RingMsg::Gather(origin, GatherPayload::Code(code)) => (origin, code),
-                        _ => panic!("gathered reduce received a non-code message"),
-                    }
-                });
-                if let Some(trace) = &self.trace {
-                    trace.record(
-                        Dir::Recv,
-                        self.trace_recv_channel(trace),
-                        MsgId::Gather {
-                            coll: self.active_coll,
-                            origin,
-                        },
-                        None,
-                    );
-                }
+        // The own decode runs while peers encode and ship.
+        let sent_bytes = self.gather_walk(
+            GatherPayload::Code(msg),
+            timers,
+            |origin, payload, timers| {
+                let GatherPayload::Code(code) = payload else {
+                    panic!("gathered reduce received a non-code message")
+                };
                 gathered_bytes += code.wire_bytes(2);
-                if hop + 1 < p - 1 {
-                    sent_bytes += code.wire_bytes(2);
-                    if let Some(trace) = &self.trace {
-                        trace.record(
-                            Dir::Send,
-                            self.trace_send_channel(trace),
-                            MsgId::Gather {
-                                coll: self.active_coll,
-                                origin,
-                            },
-                            Some(code.wire_bytes(2)),
-                        );
-                    }
-                    timed(&mut timers.wire_s, || {
-                        tx.send(RingMsg::Gather(origin, GatherPayload::Code(code.clone())))
-                            .expect("ring peer hung up");
-                    });
-                }
                 decs[origin] = Some(timed(&mut timers.decode_s, || comp.decompress(&code)));
-            }
-        }
+            },
+        );
         let out = timed(&mut timers.decode_s, || {
             let mut it = decs
                 .into_iter()
@@ -997,92 +1000,19 @@ impl TpGroup {
             return partial.clone();
         }
         let t0 = Instant::now();
-        let out = self.dense_ring(partial, timers, ws);
-        timers.collective_s += t0.elapsed().as_secs_f64();
-        self.ring_bytes.dense += (self.world - 1) * partial.len() * 2;
-        out
-    }
-
-    /// The chunked chain-reduce + broadcast schedule for dense rows.
-    fn dense_ring(
-        &mut self,
-        partial: &Tensor,
-        timers: &mut PhaseTimers,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        self.begin_collective();
         let (rows, width) = rows_width(partial);
         let plan = self.tuning.plan(rows);
-        let total = plan.len();
-        let bounds = elem_bounds(&plan, width);
-        let data = partial.as_slice();
-        let mut out = ws.lease_tensor(partial.shape().clone());
-        let (r, p) = (self.rank, self.world);
-        let depth = self.tuning.pipeline_depth.max(1);
-        let mut stash: Vec<ChunkMsg> = Vec::new();
-
-        if r == 0 {
-            let mut sent = 0;
-            let ship = |g: &mut Self, ws: &mut Workspace, idx: usize, timers: &mut PhaseTimers| {
-                let (s, e) = bounds[idx];
-                let mut buf = ws.lease(e - s);
-                buf.copy_from_slice(&data[s..e]);
-                g.send_chunk(false, idx, ChunkData::Dense(buf), timers);
-            };
-            while sent < depth.min(total) {
-                ship(self, ws, sent, timers);
-                sent += 1;
-            }
-            for (idx, &(s, e)) in bounds.iter().enumerate() {
-                let buf = self.recv_dense_chunk(true, idx, &mut stash, timers);
-                timed(&mut timers.decode_s, || {
-                    out.as_mut_slice()[s..e].copy_from_slice(&buf);
-                });
-                if p > 2 {
-                    self.send_chunk(true, idx, ChunkData::Dense(buf), timers);
-                } else {
-                    ws.recycle(buf);
-                }
-                if sent < total {
-                    ship(self, ws, sent, timers);
-                    sent += 1;
-                }
-            }
-        } else if r < p - 1 {
-            for (idx, &(s, e)) in bounds.iter().enumerate() {
-                let mut buf = self.recv_dense_chunk(false, idx, &mut stash, timers);
-                timed(&mut timers.decode_s, || {
-                    for (b, &v) in buf.iter_mut().zip(&data[s..e]) {
-                        *b += v;
-                    }
-                });
-                self.send_chunk(false, idx, ChunkData::Dense(buf), timers);
-            }
-            for (idx, &(s, e)) in bounds.iter().enumerate() {
-                let buf = self.recv_dense_chunk(true, idx, &mut stash, timers);
-                timed(&mut timers.decode_s, || {
-                    out.as_mut_slice()[s..e].copy_from_slice(&buf);
-                });
-                if r != p - 2 {
-                    self.send_chunk(true, idx, ChunkData::Dense(buf), timers);
-                } else {
-                    ws.recycle(buf);
-                }
-            }
-        } else {
-            for (idx, &(s, e)) in bounds.iter().enumerate() {
-                let mut buf = self.recv_dense_chunk(false, idx, &mut stash, timers);
-                timed(&mut timers.decode_s, || {
-                    for (b, &v) in buf.iter_mut().zip(&data[s..e]) {
-                        *b += v;
-                    }
-                    out.as_mut_slice()[s..e].copy_from_slice(&buf);
-                });
-                self.send_chunk(true, idx, ChunkData::Dense(buf), timers);
-            }
-        }
-        debug_assert!(stash.is_empty(), "collective left chunks in the stash");
-        out
+        let mut ops = DenseChunks {
+            data: partial.as_slice(),
+            width,
+            rows: row_bounds(&plan),
+            out: ws.lease_tensor(partial.shape().clone()),
+            ws,
+        };
+        self.chain_walk(&mut ops, plan.len(), timers);
+        timers.collective_s += t0.elapsed().as_secs_f64();
+        self.ring_bytes.dense += (self.world - 1) * partial.len() * 2;
+        ops.out
     }
 
     /// Reference gather-based dense all-reduce — the pre-ring

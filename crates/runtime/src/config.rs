@@ -13,11 +13,10 @@ pub struct RuntimeConfig {
     /// GPipe micro-batches per step. Must divide the batch size passed
     /// to `forward`. `1` reproduces the serial executor exactly.
     pub micro_batches: usize,
-    /// Explicit ring chunking/pipelining knobs for this engine instance.
-    /// `None` (the default) captures the process-wide configuration
-    /// ([`crate::set_chunk_rows`] / `ACTCOMP_CHUNK_ROWS` / defaults) at
-    /// construction; `Some` overrides it per engine, without touching
-    /// process-global state. Optional in serialized form.
+    /// Ring chunking/pipelining knobs for this engine instance; `None`
+    /// means [`RingTuning::default`] (four chunks per collective,
+    /// pipeline depth 4). Every rank, thread or worker process, builds
+    /// its ring from this field.
     pub tuning: Option<RingTuning>,
     /// Record every rank's comm events for conformance auditing against
     /// the static message-flow graph (`actcomp check --comm`). Off by
